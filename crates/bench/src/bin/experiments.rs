@@ -32,7 +32,8 @@
 //! combined with `--throughput` it runs after the in-process matrix.
 //! `--check-floors FILE` re-validates an existing report — CI uses it to
 //! hold the *committed* full-scale `BENCH_throughput.json` to the `n = 10⁶`
-//! floors without re-measuring on shared runners.
+//! floors without re-measuring on shared runners, and the committed
+//! `BENCH_remote.json` to the frames-per-step ceiling of its silent rows.
 //!
 //! `--scaling` measures just the multi-core scaling curve (the sharded engine
 //! across worker counts on the noise/dense cell), writes
@@ -360,6 +361,9 @@ fn run_throughput_bench(
 fn check_floors_only(path: PathBuf) -> ! {
     let json = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    if let Ok(remote) = serde_json::from_str::<throughput::RemoteReport>(&json) {
+        report_remote_floors(&path, &remote);
+    }
     let report: throughput::ThroughputReport = serde_json::from_str(&json)
         .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
     eprintln!(
@@ -379,6 +383,29 @@ fn check_floors_only(path: PathBuf) -> ! {
         std::process::exit(1);
     }
     report_floors(&report)
+}
+
+/// Holds a remote-transport report to the frames-per-step ceiling. Frame
+/// counts do not depend on the measuring machine, so any scale qualifies.
+fn report_remote_floors(path: &Path, report: &throughput::RemoteReport) -> ! {
+    eprintln!(
+        "checking remote floors of {} ({} scale, {} rows)",
+        path.display(),
+        report.scale,
+        report.rows.len()
+    );
+    let failures = throughput::check_remote_floors(report);
+    if failures.is_empty() {
+        println!(
+            "floors ok: every silent row moves <= {} frames per step and shard",
+            FloorTable::STANDARD.remote.max_silent_frames_per_shard_step
+        );
+        std::process::exit(0);
+    }
+    for f in &failures {
+        eprintln!("FLOOR REGRESSION: {f}");
+    }
+    std::process::exit(1);
 }
 
 fn run_emit_scenarios(dir: PathBuf) -> ! {

@@ -7,7 +7,9 @@
 //! binary:
 //!
 //! * `--check-floors` validates a throughput report against
-//!   [`ThroughputFloors`] (speedup and absolute steps/sec bars);
+//!   [`ThroughputFloors`] (speedup and absolute steps/sec bars), and a
+//!   remote-transport report (`BENCH_remote.json`) against [`RemoteFloors`]
+//!   (a frames-per-step ceiling);
 //! * `--check-competitive-floors` validates a campaign report against
 //!   [`CompetitiveFloors`] (coverage, correctness, per-cell ratio ceilings).
 //!
@@ -56,6 +58,22 @@ pub struct ThroughputFloors {
     /// at `n = 10⁵` the per-step work is small enough that pool
     /// synchronisation and measurement noise eat into the ratio.
     pub scaling_efficiency_quick: f64,
+}
+
+/// Floors for the remote-transport benchmark (`--check-floors` on a
+/// `BENCH_remote.json`).
+///
+/// Frame counts are exact on a fault-free loopback transport — they follow
+/// from the frame discipline, not from the machine's speed — so this gate
+/// can fail wherever it runs.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RemoteFloors {
+    /// Ceiling on wire frames per measured step and shard connection, on
+    /// rows whose measured steps sent no model message. A silent step moves
+    /// one observation frame and one existence-run exchange (run out, reply
+    /// back) per shard: 3. Per-round delivery would move two frames per
+    /// round instead.
+    pub max_silent_frames_per_shard_step: u64,
 }
 
 /// Floors for the scenario campaign (`--check-competitive-floors`).
@@ -141,6 +159,8 @@ impl CompetitiveFloors {
 pub struct FloorTable {
     /// Engine throughput floors (`--check-floors`).
     pub throughput: ThroughputFloors,
+    /// Remote-transport floors (`--check-floors BENCH_remote.json`).
+    pub remote: RemoteFloors,
     /// Campaign floors (`--check-competitive-floors`).
     pub competitive: CompetitiveFloors,
 }
@@ -158,6 +178,9 @@ impl FloorTable {
             scaling_min_worker_counts: 3,
             scaling_efficiency_full: 0.5,
             scaling_efficiency_quick: 0.35,
+        },
+        remote: RemoteFloors {
+            max_silent_frames_per_shard_step: 3,
         },
         competitive: CompetitiveFloors {
             min_protocols: 5,
@@ -209,6 +232,9 @@ mod tests {
         // Efficiency is normalised by min(workers, cores), so > 1.0 would be
         // demanding super-linear scaling.
         assert!(t.throughput.scaling_efficiency_full <= 1.0);
+        // One observation frame plus one run exchange per shard is the
+        // least a silent step can move.
+        assert!(t.remote.max_silent_frames_per_shard_step >= 3);
         assert!(t.competitive.min_protocols >= 5);
         assert!(t.competitive.min_generators >= 7);
         assert_eq!(t.competitive.max_invalid_steps, 0);

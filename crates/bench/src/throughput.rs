@@ -621,6 +621,45 @@ pub fn run_remote(quick: bool, shards: usize, log: impl Fn(&str)) -> RemoteRepor
     }
 }
 
+/// Checks a remote-transport report against the standard
+/// [`FloorTable`](crate::floors::FloorTable); returns a list of
+/// human-readable failures (empty = pass).
+pub fn check_remote_floors(report: &RemoteReport) -> Vec<String> {
+    check_remote_floors_against(report, &crate::floors::FloorTable::STANDARD.remote)
+}
+
+/// Checks a remote-transport report against an explicit floor table: every
+/// row whose measured steps sent no model message must stay within the
+/// frames-per-step ceiling, and at least one such row must exist, so the
+/// gate cannot pass on a report that never measured a silent step.
+pub fn check_remote_floors_against(
+    report: &RemoteReport,
+    floors: &crate::floors::RemoteFloors,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    let silent: Vec<&RemoteRow> = report.rows.iter().filter(|r| r.messages == 0).collect();
+    if silent.is_empty() {
+        failures
+            .push("report has no row without model messages to hold to the frames ceiling".into());
+    }
+    for row in silent {
+        let ceiling = floors.max_silent_frames_per_shard_step * row.shards * row.steps;
+        if row.frames > ceiling {
+            failures.push(format!(
+                "{} n={} {} ({} shards): {:.1} frames/step, ceiling is {} x {} shards",
+                row.generator,
+                row.n,
+                row.mode,
+                row.shards,
+                row.frames as f64 / row.steps.max(1) as f64,
+                floors.max_silent_frames_per_shard_step,
+                row.shards
+            ));
+        }
+    }
+    failures
+}
+
 /// Serialises a remote report as pretty JSON.
 pub fn remote_to_json(report: &RemoteReport) -> String {
     serde_json::to_string_pretty(report).expect("remote reports serialise")
@@ -1238,6 +1277,29 @@ mod tests {
                 "the TCP transport changed model message counts in {mode:?}"
             );
         }
+    }
+
+    #[test]
+    fn remote_frames_gate_holds_silent_rows_to_three_frames_per_shard() {
+        let row = measure_remote("noise", 128, 2, DeliveryMode::Dense, 10, 5);
+        assert_eq!(row.messages, 0, "the noise cell is silent at this size");
+        let mut report = RemoteReport {
+            bench: "remote-transport".into(),
+            scale: "quick".into(),
+            rows: vec![row],
+        };
+        assert!(
+            check_remote_floors(&report).is_empty(),
+            "{:?}",
+            check_remote_floors(&report)
+        );
+        // Two frames more than the ceiling over the run fail the gate…
+        report.rows[0].frames = 3 * 2 * 10 + 2;
+        assert_eq!(check_remote_floors(&report).len(), 1);
+        // …rows with model messages are not held to it…
+        report.rows[0].messages = 1;
+        // …but a report without any silent row cannot pass.
+        assert_eq!(check_remote_floors(&report).len(), 1);
     }
 
     #[test]

@@ -52,7 +52,8 @@ impl CombinedMonitor {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`.
+    /// Panics if `k == 0`; its first step panics if `k` is not smaller than
+    /// the number of nodes, like every other monitor's.
     pub fn new(k: usize, eps: Epsilon) -> CombinedMonitor {
         CombinedMonitor {
             k,
@@ -80,6 +81,14 @@ impl CombinedMonitor {
     /// Evaluates the dispatch condition of Theorem 5.8 with a top-(k+1) probe:
     /// unique output → `TopKProtocol`, dense neighbourhood → `DenseProtocol`.
     fn dispatch(&mut self, net: &mut dyn Network) -> ActiveProtocol {
+        // The top-(k+1) probe needs k + 1 nodes; refuse like the inner
+        // monitors would, before indexing past the population.
+        assert!(
+            self.k < net.n(),
+            "k = {} must be smaller than the number of nodes n = {}",
+            self.k,
+            net.n()
+        );
         net.meter().push_label(ProtocolLabel::Init);
         let top = top_m(net, self.k + 1);
         net.meter().pop_label();

@@ -124,6 +124,18 @@ impl HalfEpsMonitor {
         let z_lo = self.eps.scale_down(self.z);
         self.l0 = z_lo + (self.z - z_lo) / 2;
         self.u0 = self.eps.scale_up(self.l0);
+        if self.u0 < self.z {
+            // Small pivots: both floors can land the upper separator below z
+            // itself (z = 9, ε = 1/10 gives l0 = u0 = 8), which would put
+            // every node holding z into V1. Widen to the band [⌈(1−ε)z⌉, z]
+            // instead — still no wider than ε, so the filters stay valid.
+            self.u0 = self.z;
+            self.l0 = if self.eps.clearly_smaller(z_lo, self.z) {
+                z_lo + 1
+            } else {
+                z_lo
+            };
+        }
 
         // Partition by the round-0 separators so that no node violates right
         // after the (re)start; the separators coincide with the paper's
@@ -311,6 +323,19 @@ mod tests {
         let mut monitor = HalfEpsMonitor::new(k, eps);
         let report = run_on_rows(&mut monitor, &mut net, rows, eps);
         (report, monitor)
+    }
+
+    #[test]
+    fn small_all_equal_rows_keep_a_full_output() {
+        // z = 1 and z = 9 at ε = 1/10 floor both round-0 separators below
+        // the pivot; every step must still output exactly k nodes.
+        let eps = Epsilon::new(1, 10).unwrap();
+        for v in [1, 9, 1000] {
+            let rows = vec![vec![v; 5]; 6];
+            let (report, monitor) = drive(rows, 2, eps, 11);
+            assert_eq!(report.invalid_steps, 0, "rows of all {v}s");
+            assert_eq!(monitor.output().len(), 2, "rows of all {v}s");
+        }
     }
 
     #[test]

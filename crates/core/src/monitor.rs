@@ -446,4 +446,37 @@ mod tests {
         assert_eq!(report.steps, 3);
         assert_eq!(report.sigma, 2);
     }
+
+    #[test]
+    fn every_monitor_refuses_k_not_below_n() {
+        use crate::{CombinedMonitor, DenseMonitor, ExactTopKMonitor, HalfEpsMonitor, TopKMonitor};
+        let eps = Epsilon::new(1, 10).unwrap();
+        for k in [4, 5] {
+            let monitors: Vec<Box<dyn Monitor>> = vec![
+                Box::new(ExactTopKMonitor::new(k)),
+                Box::new(TopKMonitor::new(k, eps)),
+                Box::new(DenseMonitor::new(k, eps)),
+                Box::new(CombinedMonitor::new(k, eps)),
+                Box::new(HalfEpsMonitor::new(k, eps)),
+            ];
+            for mut monitor in monitors {
+                let name = monitor.name();
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut net = DeterministicEngine::new(4, 1);
+                    net.advance_time(&[5, 6, 7, 8]);
+                    monitor.process_step(&mut net);
+                }));
+                let payload = outcome.expect_err("k >= n must be refused");
+                let message = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default();
+                assert_eq!(
+                    message,
+                    format!("k = {k} must be smaller than the number of nodes n = 4"),
+                    "{name} at k = {k}"
+                );
+            }
+        }
+    }
 }

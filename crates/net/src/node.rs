@@ -145,9 +145,27 @@ impl SimNode {
         population: u32,
         predicate: ExistencePredicate,
     ) -> Option<NodeMessage> {
-        if !predicate.evaluate(self.id, self.value, self.pending_violation) {
+        if !self.holds(predicate) {
             return None;
         }
+        self.flip_existence_coin(round, population, predicate)
+    }
+
+    /// Whether `predicate` holds locally — the node's bit in an existence run.
+    pub(crate) fn holds(&self, predicate: ExistencePredicate) -> bool {
+        predicate.evaluate(self.id, self.value, self.pending_violation)
+    }
+
+    /// Round `round` of an existence run for a node whose predicate is known
+    /// to hold: flips the Lemma 3.1 coin and returns the response on success.
+    /// A remote shard evaluates the predicate once per run and then calls
+    /// this per round, drawing exactly what per-round delivery draws.
+    pub(crate) fn flip_existence_coin(
+        &mut self,
+        round: u32,
+        population: u32,
+        predicate: ExistencePredicate,
+    ) -> Option<NodeMessage> {
         if !existence_coin(&mut self.rng, round, population) {
             return None;
         }
@@ -164,6 +182,15 @@ impl SimNode {
                 value: self.value,
             },
         })
+    }
+
+    /// Takes back the last `coins` existence coins this node flipped: each
+    /// coin is one `next_u64`, two 32-bit words of the ChaCha stream, so the
+    /// stream seeks back `2 · coins` words and the next coin draws what the
+    /// first taken-back coin drew.
+    pub(crate) fn unflip_coins(&mut self, coins: u64) {
+        let pos = self.rng.get_word_pos();
+        self.rng.set_word_pos(pos - 2 * u128::from(coins));
     }
 }
 
@@ -387,6 +414,33 @@ mod tests {
             (rate - 1.0 / 16.0).abs() < 0.03,
             "empirical rate {rate} too far from 1/16"
         );
+    }
+
+    #[test]
+    fn unflipped_coins_are_flipped_again_identically() {
+        let mut n = node();
+        n.observe(5);
+        let predicate = ExistencePredicate::GreaterThan(0);
+        let first: Vec<_> = (0..12)
+            .map(|r| n.flip_existence_coin(r % 3, 4, predicate))
+            .collect();
+        n.unflip_coins(7);
+        let again: Vec<_> = (5..12)
+            .map(|r| n.flip_existence_coin(r % 3, 4, predicate))
+            .collect();
+        assert_eq!(&first[5..], &again[..]);
+        // And the stream continues exactly where an untouched node's would.
+        let mut twin = node();
+        twin.observe(5);
+        for r in 0..12 {
+            twin.flip_existence_coin(r % 3, 4, predicate);
+        }
+        for r in 0..8 {
+            assert_eq!(
+                n.flip_existence_coin(r, 64, predicate),
+                twin.flip_existence_coin(r, 64, predicate)
+            );
+        }
     }
 
     #[test]

@@ -16,13 +16,34 @@
 //! parameter broadcasts, end-of-run announcements) are *fire-and-forget*:
 //! TCP's per-connection ordering guarantees a shard applies them before any
 //! later frame, so the server never blocks on them. Operations that the
-//! model answers upstream — probes and existence rounds — set the batch's
+//! model answers upstream — probes and existence runs — set the batch's
 //! `wants_reply` flag and a per-connection sequence number, and the server
-//! then reads exactly one matching [`Frame::Replies`] per queried shard,
-//! *in shard order*. Shards are contiguous ascending id ranges and every
-//! shard replies in ascending node id order, so the concatenation is the
-//! global id order — the reply order of
+//! then reads exactly one matching reply frame per queried shard, *in shard
+//! order*. Shards are contiguous ascending id ranges and every shard
+//! replies in ascending node id order, so the concatenation is the global
+//! id order — the reply order of
 //! [`DeterministicEngine`](crate::DeterministicEngine).
+//!
+//! ## One exchange per existence run (wire v5)
+//!
+//! Lemma 3.1's schedule is fixed in advance — in round `r` an active node
+//! sends with probability `min(1, 2^r / n)` — so a shard can play a whole
+//! run the moment it starts. When an `existence_round_into` call does not
+//! continue the run in flight, the server ships one
+//! [`ServerOp::ExistenceRun`] per occupied shard. Each shard evaluates the
+//! predicate once per node, flips its active nodes' coins round by round
+//! until some node responds, and answers with a [`Frame::RunReplies`]
+//! naming that first responding round `r_s` (or none, at once, when no node
+//! of the shard is active — the silent step). The server keeps the answers:
+//! a later call for the next round with the same population and predicate,
+//! and nothing else in between, is served from memory. It returns the
+//! replies of the shards with `r_s = r*` exactly when `r = r* = min r_s`,
+//! and nothing before. `record_round` and the upstream charge stay per
+//! call. Any other call — a mutation, a probe, membership, a disconnect, a
+//! different predicate or population, or a round past `r*` — ends the run
+//! at the last round actually asked for, and a round past `r*` starts a
+//! fresh run there. Peers that negotiated wire v4 or older are driven one
+//! round per exchange instead.
 //!
 //! ## Timeouts, polls and lossy transports
 //!
@@ -33,7 +54,9 @@
 //! client retains its last reply and answers the poll from that copy;
 //! sequence numbers let the server discard a duplicate (original and poll
 //! answer both arriving) instead of mistaking it for the next round's
-//! answer. Each poll is charged one model downstream unicast under
+//! answer. A lost run reply is recovered the same way: the client retains
+//! whichever reply frame it sent last. Each poll is charged one model
+//! downstream unicast under
 //! [`ProtocolLabel::Recovery`], so recovery traffic is separable in the
 //! `CommStats`; the replies themselves are charged once, on acceptance.
 //! Mid-frame timeouts are safe because the reply path reads through a
@@ -77,7 +100,8 @@
 //! advertising its maximum, the server answers every subsequent frame at
 //! `min(`[`WIRE_VERSION`]`, advertised max)`, and the client mirrors the
 //! version the server's frames arrive in — version-2 peers on either side
-//! interoperate, version-3 pairs get CRC-trailed frames.
+//! interoperate, version-3 pairs get CRC-trailed frames, and version-5 pairs
+//! ship whole existence runs.
 //!
 //! ## Why the engine is bit-identical to the in-process baseline
 //!
@@ -87,10 +111,23 @@
 //! RNG advances only inside its own coin flip, so neither the sharding nor
 //! the transport can perturb any random stream; the id-ordered reply merge
 //! restores the baseline's reply sequence; and the server charges the
-//! [`CostMeter`] with exactly the baseline's accounting rules. Hence
-//! replies, `CommStats` and all node state match the baseline bit for bit —
-//! `tests/indexed_differential.rs` proves it over randomized schedules, and
-//! `topk-core`'s monitors run unchanged over loopback.
+//! [`CostMeter`] with exactly the baseline's accounting rules.
+//!
+//! Whole runs keep this. Values and filters cannot change inside a run, so
+//! evaluating the predicate once gives the active set every round would
+//! give, and each active node flips the coin of each round it plays, as
+//! per-round delivery would. A shard may play past the round the run really
+//! ended at, `r_last`: with `r_s > r_last`, each of its active nodes drew
+//! exactly `2 · (r_s − r_last)` surplus 32-bit words (one `next_u64` per
+//! coin). The server then owes the shard a [`ServerOp::SettleRun`] naming
+//! `r_last`, put in front of that shard's next batch; TCP ordering makes
+//! the shard apply it before any later coin, and the shard seeks those
+//! nodes' ChaCha streams back by the surplus. Every stream then equals what
+//! per-round delivery of rounds `r0..=r_last` leaves behind, and no coin
+//! differs. Hence replies, `CommStats` and all node state match the
+//! baseline bit for bit — `tests/indexed_differential.rs` proves it over
+//! randomized schedules and hand-driven run shapes, and `topk-core`'s
+//! monitors run unchanged over loopback.
 //!
 //! ## Server-side state mirror
 //!
@@ -117,7 +154,7 @@ use topk_model::rule::filter_for;
 use topk_model::soa::NodeStateSoA;
 use topk_wire::{
     read_frame, read_frame_versioned, write_frame_versioned, Frame, FrameAccumulator, ServerOp,
-    WireError, LEGACY_WIRE_VERSION, QUERY_WIRE_VERSION, WIRE_VERSION,
+    WireError, LEGACY_WIRE_VERSION, QUERY_WIRE_VERSION, RUN_WIRE_VERSION, WIRE_VERSION,
 };
 
 /// Deterministic retry schedule for the reply-wait and reconnect paths.
@@ -255,6 +292,11 @@ struct Conn {
     /// this must be back at the policy's *base* deadline, never a leftover
     /// escalated one.
     armed_deadline: Option<Duration>,
+    /// A pending [`ServerOp::SettleRun`]: the round the last existence run
+    /// ended at, owed to this shard because it played past that round. Put
+    /// in front of the connection's next batch, so the shard takes its
+    /// surplus coins back before it sees any later operation.
+    settle: Option<u32>,
     stats: TransportStats,
 }
 
@@ -266,20 +308,28 @@ impl Conn {
         self.stats.bytes_sent += bytes as u64;
     }
 
-    /// Sends a `wants_reply` batch, stamping it with the next sequence
-    /// number, and returns that number for the matching receive.
-    fn send_query(&mut self, ops: Vec<ServerOp>) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    /// Sends a batch, putting a pending run settle in front of its ops.
+    /// A `wants_reply` batch is stamped with the next sequence number, which
+    /// is returned for the matching receive; fire-and-forget batches carry 0.
+    fn send_batch(&mut self, wants_reply: bool, mut ops: Vec<ServerOp>) -> u64 {
+        if let Some(round) = self.settle.take() {
+            ops.insert(0, ServerOp::SettleRun { round });
+        }
+        let seq = if wants_reply {
+            self.next_seq += 1;
+            self.next_seq - 1
+        } else {
+            0
+        };
         self.send(&Frame::Batch {
-            wants_reply: true,
+            wants_reply,
             seq,
             ops,
         });
         seq
     }
 
-    /// Receives the reply for `seq`, degrading a missed deadline to a
+    /// Receives the reply frame for `seq`, degrading a missed deadline to a
     /// [`Frame::Poll`] (charged as a recovery downstream unicast on `meter`)
     /// and discarding duplicate answers to earlier polls. Each further wait
     /// re-arms the socket with the policy's next backoff deadline; the base
@@ -287,35 +337,35 @@ impl Conn {
     ///
     /// Without a configured read timeout this never observes a deadline and
     /// behaves exactly like the blocking v1 reader.
-    fn recv_replies(
+    fn recv_reply(
         &mut self,
         seq: u64,
         meter: &mut CostMeter,
         policy: Option<&RetryPolicy>,
-    ) -> Vec<NodeMessage> {
+    ) -> Frame {
         let mut attempts = 0u32;
         loop {
             match self.acc.read_frame(&mut self.reader) {
                 Ok(Some((frame, bytes))) => {
                     self.stats.frames_received += 1;
                     self.stats.bytes_received += bytes as u64;
-                    match frame {
-                        Frame::Replies { seq: got, replies } if got == seq => {
+                    match reply_seq(&frame) {
+                        Some(got) if got == seq => {
                             if attempts > 0 {
                                 let policy = policy.expect("attempts imply a policy");
                                 self.arm_deadline(policy.deadline(0));
                             }
-                            return replies;
+                            return frame;
                         }
-                        Frame::Replies { seq: got, .. } if got < seq => {
+                        Some(got) if got < seq => {
                             // A duplicate answer to an earlier poll (both the
                             // original and the poll answer arrived), or a
                             // stale reply from before a reconnect: discard.
                         }
-                        Frame::Replies { seq: got, .. } => {
+                        Some(got) => {
                             panic!("remote transport: reply {got} from the future (awaiting {seq})")
                         }
-                        other => panic!("remote transport: expected a reply frame, got {other:?}"),
+                        None => panic!("remote transport: expected a reply frame, got {frame:?}"),
                     }
                 }
                 Ok(None) => {
@@ -348,6 +398,35 @@ impl Conn {
             .expect("remote transport: cannot set read timeout");
         self.armed_deadline = Some(deadline);
     }
+}
+
+/// The sequence number of a reply frame (`None` for any other frame).
+fn reply_seq(frame: &Frame) -> Option<u64> {
+    match frame {
+        Frame::Replies { seq, .. } | Frame::RunReplies { seq, .. } => Some(*seq),
+        _ => None,
+    }
+}
+
+/// An existence run whose schedule the shards already played (wire v5).
+///
+/// Calls that continue the run — the next round, same population and
+/// predicate, nothing else in between — are answered from here; anything
+/// else ends it (see [`RemoteEngine::end_run`]).
+#[derive(Debug)]
+struct Run {
+    population: u32,
+    predicate: ExistencePredicate,
+    /// The last round actually asked for; a continuing call asks for the
+    /// one after it.
+    last_round: u32,
+    /// Each shard's first responding round (`None`: no active node, or an
+    /// empty shard).
+    first: Vec<Option<u32>>,
+    /// The run's first responding round over all shards and the replies of
+    /// the shards that responded in it, in shard order (`None`: no node of
+    /// any shard holds the predicate).
+    answer: Option<(u32, Vec<NodeMessage>)>,
 }
 
 /// TCP-loopback engine (see the module documentation).
@@ -384,6 +463,11 @@ pub struct RemoteEngine {
     /// connection resumes numbering here, keeping every awaited sequence
     /// strictly above anything a previous incarnation could have produced.
     seq_floor: Vec<u64>,
+    /// The existence run in flight on wire-v5 connections, if any.
+    run: Option<Run>,
+    /// The wire version spawned shard clients advertise in their `Join`:
+    /// [`WIRE_VERSION`], or an older one to exercise interoperation.
+    client_version: u8,
 }
 
 impl std::fmt::Debug for RemoteEngine {
@@ -427,7 +511,7 @@ impl RemoteEngine {
     /// Panics if `shards == 0`, or if binding the loopback listener or
     /// completing the join handshake fails.
     pub fn with_shards(n: usize, master_seed: u64, shards: usize) -> RemoteEngine {
-        RemoteEngine::build(n, master_seed, shards, None, None)
+        RemoteEngine::build(n, master_seed, shards, None, None, WIRE_VERSION)
     }
 
     /// Creates an engine on a lossy transport: shard clients drop whole
@@ -485,6 +569,7 @@ impl RemoteEngine {
             shards,
             Some((spec.seed, spec.drop_upstream_permille)),
             Some(policy),
+            WIRE_VERSION,
         )
     }
 
@@ -494,6 +579,7 @@ impl RemoteEngine {
         shards: usize,
         faults: Option<(u64, u32)>,
         policy: Option<RetryPolicy>,
+        client_version: u8,
     ) -> RemoteEngine {
         assert!(shards > 0, "at least one shard connection is required");
         let listener =
@@ -510,7 +596,8 @@ impl RemoteEngine {
                     std::thread::Builder::new()
                         .name(format!("topk-shard-{s}"))
                         .spawn(move || {
-                            run_shard_client(addr, s as u32, lo, hi, master_seed, faults, gens)
+                            let client = ShardClient::new(s as u32, lo, hi, master_seed, gens);
+                            client.run(addr, faults, client_version)
                         })
                         .expect("remote transport: cannot spawn shard client"),
                 )
@@ -541,6 +628,8 @@ impl RemoteEngine {
             policy,
             retired: vec![TransportStats::default(); shards],
             seq_floor: vec![1; shards],
+            run: None,
+            client_version,
         }
     }
 
@@ -607,13 +696,11 @@ impl RemoteEngine {
             .unwrap_or_else(|| panic!("remote transport: shard {s} is disconnected"))
     }
 
-    /// Sends a fire-and-forget single-op batch to one shard.
+    /// Sends a fire-and-forget single-op batch to one shard. Like every call
+    /// that reaches a shard, it ends the existence run in flight.
     fn command(&mut self, shard: usize, op: ServerOp) {
-        self.conn(shard).send(&Frame::Batch {
-            wants_reply: false,
-            seq: 0,
-            ops: vec![op],
-        });
+        self.end_run();
+        self.conn(shard).send_batch(false, vec![op]);
     }
 
     /// Delivers a server message to every node via per-shard broadcasts.
@@ -624,6 +711,129 @@ impl RemoteEngine {
             }
             self.command(s, ServerOp::Broadcast { msg });
         }
+    }
+
+    /// Whether existence runs ship whole (wire v5) rather than round by
+    /// round: every occupied shard's connection negotiated
+    /// [`RUN_WIRE_VERSION`].
+    fn runs_on_wire(&self) -> bool {
+        (0..self.conns.len()).all(|s| {
+            self.range(s).is_empty()
+                || self.conns[s]
+                    .as_ref()
+                    .is_some_and(|conn| conn.wire_version >= RUN_WIRE_VERSION)
+        })
+    }
+
+    /// Ends the existence run in flight, if any, at the last round actually
+    /// asked for. Every shard that played past that round is owed a
+    /// [`ServerOp::SettleRun`], which rides in front of its next batch.
+    fn end_run(&mut self) {
+        let Some(run) = self.run.take() else {
+            return;
+        };
+        let last = run.last_round;
+        for (conn, first) in self.conns.iter_mut().zip(run.first) {
+            if let (Some(conn), Some(first)) = (conn, first) {
+                if first > last {
+                    conn.settle = Some(last);
+                }
+            }
+        }
+    }
+
+    /// Sends `op` in a wants-reply batch to every occupied shard, then
+    /// hands each shard's reply frame to `on_reply`, in shard order: the
+    /// shards work concurrently and the ordered collection restores the
+    /// global id order.
+    fn query_shards(&mut self, op: &ServerOp, mut on_reply: impl FnMut(usize, Frame)) {
+        for s in 0..self.conns.len() {
+            if !self.range(s).is_empty() {
+                self.conn(s).send_batch(true, vec![op.clone()]);
+            }
+        }
+        let policy = self.policy;
+        for s in 0..self.conns.len() {
+            if self.range(s).is_empty() {
+                continue;
+            }
+            let conn = self.conns[s]
+                .as_mut()
+                .unwrap_or_else(|| panic!("remote transport: shard {s} is disconnected"));
+            // Nothing interleaved since the send above, so the shard's query
+            // is the last sequence number the connection issued.
+            let seq = conn.next_seq - 1;
+            on_reply(s, conn.recv_reply(seq, &mut self.meter, policy.as_ref()));
+        }
+    }
+
+    /// One round of an existence run on wire v5: the run in flight answers a
+    /// continuing call from memory; any other call ends it and ships a
+    /// fresh one. A round past the run's first responding round is not a
+    /// continuation — the shards stopped playing there.
+    fn run_round_into(
+        &mut self,
+        round: u32,
+        population: u32,
+        predicate: ExistencePredicate,
+        replies: &mut Vec<NodeMessage>,
+    ) {
+        let continues = self.run.as_ref().is_some_and(|run| {
+            run.last_round.checked_add(1) == Some(round)
+                && run.population == population
+                && run.predicate == predicate
+                && run
+                    .answer
+                    .as_ref()
+                    .map_or(true, |(first, _)| round <= *first)
+        });
+        if !continues {
+            self.end_run();
+            self.start_run(round, population, predicate);
+        }
+        let run = self.run.as_mut().expect("a run is in flight");
+        run.last_round = round;
+        if let Some((first, answer)) = &mut run.answer {
+            if *first == round {
+                replies.append(answer);
+            }
+        }
+    }
+
+    /// Starts an existence run at `round`: one run op per occupied shard,
+    /// then one run reply per shard.
+    fn start_run(&mut self, round: u32, population: u32, predicate: ExistencePredicate) {
+        let op = ServerOp::ExistenceRun {
+            round,
+            population,
+            predicate,
+        };
+        let mut first = vec![None; self.conns.len()];
+        let mut answer: Option<(u32, Vec<NodeMessage>)> = None;
+        self.query_shards(&op, |s, frame| {
+            let Frame::RunReplies {
+                first_round,
+                replies,
+                ..
+            } = frame
+            else {
+                panic!("remote transport: expected run replies, got {frame:?}")
+            };
+            first[s] = first_round;
+            let Some(r) = first_round else { return };
+            match &mut answer {
+                Some((best, earlier)) if *best == r => earlier.extend(replies),
+                Some((best, _)) if *best < r => {}
+                _ => answer = Some((r, replies)),
+            }
+        });
+        self.run = Some(Run {
+            population,
+            predicate,
+            last_round: round,
+            first,
+            answer,
+        });
     }
 
     /// Tears down shard `s`'s connection through the orderly goodbye path:
@@ -637,6 +847,7 @@ impl RemoteEngine {
     /// Panics if any slot in the shard's range is still live, if the shard
     /// is already disconnected, or on a transport error during the goodbye.
     pub fn disconnect_shard(&mut self, s: usize) {
+        self.end_run();
         for i in self.range(s) {
             assert!(
                 !self.population.is_live(NodeId(i)),
@@ -716,10 +927,14 @@ impl RemoteEngine {
             .collect();
         let master_seed = self.master_seed;
         let faults = self.faults;
+        let client_version = self.client_version;
         self.handles[s] = Some(
             std::thread::Builder::new()
                 .name(format!("topk-shard-{s}"))
-                .spawn(move || run_shard_client(addr, s as u32, lo, hi, master_seed, faults, gens))
+                .spawn(move || {
+                    let client = ShardClient::new(s as u32, lo, hi, master_seed, gens);
+                    client.run(addr, faults, client_version)
+                })
                 .expect("remote transport: cannot spawn shard client"),
         );
         let (mut conn, shard) = accept_shard(&self.listener, self.policy.as_ref());
@@ -938,19 +1153,26 @@ impl Network for RemoteEngine {
     fn probe(&mut self, node: NodeId) -> Value {
         self.meter.record(MessageKind::DownstreamUnicast);
         let owner = self.owner(node);
+        self.end_run();
         let policy = self.policy;
         let conn = self.conns[owner]
             .as_mut()
             .unwrap_or_else(|| panic!("remote transport: shard {owner} is disconnected"));
-        let seq = conn.send_query(vec![ServerOp::Unicast {
-            node,
-            msg: ServerMessage::Probe,
-        }]);
-        let replies = conn.recv_replies(seq, &mut self.meter, policy.as_ref());
+        let seq = conn.send_batch(
+            true,
+            vec![ServerOp::Unicast {
+                node,
+                msg: ServerMessage::Probe,
+            }],
+        );
+        let reply = conn.recv_reply(seq, &mut self.meter, policy.as_ref());
         self.meter.record(MessageKind::Upstream);
-        match replies.as_slice() {
-            [NodeMessage::ValueReport { value, .. }] => *value,
-            other => panic!("probe must be answered with one value report, got {other:?}"),
+        match reply {
+            Frame::Replies { replies, .. } => match replies.as_slice() {
+                [NodeMessage::ValueReport { value, .. }] => *value,
+                other => panic!("probe must be answered with one value report, got {other:?}"),
+            },
+            other => panic!("remote transport: expected probe replies, got {other:?}"),
         }
     }
 
@@ -962,36 +1184,20 @@ impl Network for RemoteEngine {
         replies: &mut Vec<NodeMessage>,
     ) {
         self.meter.record_round();
-        let msg = ServerMessage::ExistenceRound {
-            round,
-            population,
-            predicate,
-        };
-        // Send the round to every occupied shard first, then collect the
-        // replies in shard order: the shards flip their coins concurrently
-        // and the ordered collection restores the global id order. Runs on
-        // every round of every violation check, so the shard walks stay
-        // allocation-free (beyond the frame encodings themselves).
-        for s in 0..self.conns.len() {
-            if self.range(s).is_empty() {
-                continue;
-            }
-            self.conn(s).send_query(vec![ServerOp::Broadcast { msg }]);
-        }
         replies.clear();
-        let policy = self.policy;
-        for s in 0..self.conns.len() {
-            if self.range(s).is_empty() {
-                continue;
-            }
-            let conn = self.conns[s]
-                .as_mut()
-                .unwrap_or_else(|| panic!("remote transport: shard {s} is disconnected"));
-            // Nothing interleaved since the send above, so the shard's round
-            // query is the last sequence number the connection issued.
-            let seq = conn.next_seq - 1;
-            let shard_replies = conn.recv_replies(seq, &mut self.meter, policy.as_ref());
-            replies.extend(shard_replies);
+        if self.runs_on_wire() {
+            self.run_round_into(round, population, predicate, replies);
+        } else {
+            // Older peers get one exchange per round.
+            let msg = ServerMessage::ExistenceRound {
+                round,
+                population,
+                predicate,
+            };
+            self.query_shards(&ServerOp::Broadcast { msg }, |_, frame| match frame {
+                Frame::Replies { replies: shard, .. } => replies.extend(shard),
+                other => panic!("remote transport: expected round replies, got {other:?}"),
+            });
         }
         self.meter
             .record_many(MessageKind::Upstream, replies.len() as u64);
@@ -1079,6 +1285,7 @@ fn accept_shard(listener: &TcpListener, policy: Option<&RetryPolicy>) -> (Conn, 
         wire_version: WIRE_VERSION.min(max_version),
         next_seq: 1,
         armed_deadline: None,
+        settle: None,
         stats: TransportStats {
             frames_received: 1,
             bytes_received: bytes as u64,
@@ -1128,19 +1335,13 @@ fn accept_with_policy(listener: &TcpListener, policy: &RetryPolicy) -> TcpStream
     stream
 }
 
-/// Body of one shard-client thread: connect, join, then serve batches until
-/// shutdown.
+/// The state one shard-client thread owns: the [`SimNode`] state machines of
+/// global ids `lo..hi`, their membership generations, and what the shard
+/// remembers of the last existence run it played.
 ///
-/// The client owns the [`SimNode`] state machines of global ids `lo..hi` and
-/// is driven *only* by decoded frames — it shares no memory with the server.
-/// Replies accumulate in ascending node-id order because every op iterates
-/// the shard's nodes in ascending order.
-///
-/// The `Join` frame itself is framed at [`LEGACY_WIRE_VERSION`] (so any
-/// server can read it) and advertises [`WIRE_VERSION`] as the client's
-/// maximum; the client then mirrors whatever version the server's frames
-/// arrive in, completing the negotiation from its side without extra
-/// round-trips.
+/// The client is driven *only* by decoded frames — it shares no memory with
+/// the server. Replies accumulate in ascending node-id order because every
+/// op iterates the shard's nodes in ascending order.
 ///
 /// `gens` carries the membership generation of every local slot (all zeros
 /// for an initial connection; the population's current generations for a
@@ -1148,177 +1349,263 @@ fn accept_with_policy(listener: &TcpListener, policy: &RetryPolicy) -> TcpStream
 /// reseeds the slot via [`SimNode::rejoin_generation`] and a `Leave`
 /// collapses its stream to a 0 observation — the same transitions every
 /// in-process engine makes, so the RNG streams stay aligned bit for bit.
-///
-/// With `faults` set to `(seed, drop_permille)`, the client simulates a
-/// lossy upstream link: each *first* transmission of a reply frame is
-/// dropped with the given probability (from a per-shard ChaCha8 stream), and
-/// the retained copy is re-sent — always, so retries converge — when the
-/// server polls for it.
-fn run_shard_client(
-    addr: SocketAddr,
+struct ShardClient {
     shard: u32,
     lo: usize,
-    hi: usize,
     master_seed: u64,
-    faults: Option<(u64, u32)>,
-    mut gens: Vec<u32>,
-) {
-    let stream = TcpStream::connect(addr).expect("shard client: cannot connect to server");
-    stream
-        .set_nodelay(true)
-        .expect("shard client: cannot set TCP_NODELAY");
-    let mut reader = BufReader::new(stream.try_clone().expect("shard client: clone stream"));
-    let mut writer = BufWriter::new(stream);
-    write_frame_versioned(
-        &mut writer,
-        &Frame::Join {
-            shard,
-            max_version: WIRE_VERSION,
-        },
-        LEGACY_WIRE_VERSION,
-    )
-    .expect("shard client: join handshake failed");
-    // Every received frame states the server's negotiated version and the
-    // client mirrors it, so the first read settles this before any reply.
-    let mut server_version;
-
-    let mut drop_rng = faults.map(|(seed, _)| {
-        // Golden-ratio mix so shard streams are disjoint even for small seeds.
-        ChaCha8Rng::seed_from_u64(
-            seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(shard) + 1),
-        )
-    });
-    let drop_permille = faults.map_or(0, |(_, p)| p.min(1000));
-    assert_eq!(gens.len(), hi - lo, "one generation per local slot");
-    let mut nodes: Vec<SimNode> = (lo..hi)
-        .map(|i| {
-            let mut node = SimNode::new(NodeId(i), master_seed);
-            let gen = gens[i - lo];
-            if gen > 0 {
-                node.rejoin_generation(master_seed, gen);
-            }
-            node
-        })
-        .collect();
-    let mut replies: Vec<NodeMessage> = Vec::new();
-    // The last reply produced, kept for answering polls (the two reply
-    // buffers ping-pong so one pair of allocations serves the connection).
-    let mut last: (u64, Vec<NodeMessage>) = (0, Vec::new());
-    loop {
-        let frame = match read_frame_versioned(&mut reader) {
-            Ok((frame, _, version)) => {
-                server_version = version;
-                frame
-            }
-            // The server dropped without an orderly shutdown (e.g. a test
-            // panicked): exit quietly, the Drop impl reaps the thread.
-            Err(WireError::Io(_)) => return,
-            Err(e) => panic!("shard client {shard}: corrupt frame: {e}"),
-        };
-        match frame {
-            Frame::Batch {
-                wants_reply,
-                seq,
-                ops,
-            } => {
-                replies.clear();
-                for op in ops {
-                    match op {
-                        ServerOp::Membership { events } => {
-                            for event in events {
-                                let local = event.node().index() - lo;
-                                match event {
-                                    MembershipEvent::Join(_) => {
-                                        gens[local] += 1;
-                                        nodes[local].rejoin_generation(master_seed, gens[local]);
-                                    }
-                                    MembershipEvent::Leave(_) => nodes[local].observe(0),
-                                }
-                            }
-                        }
-                        op => apply_op(&mut nodes, lo, op, &mut replies),
-                    }
-                }
-                if wants_reply {
-                    // The drop coin applies to the first transmission only;
-                    // poll answers always go out, so one poll recovers any
-                    // lost frame.
-                    let lost = drop_permille > 0
-                        && drop_rng
-                            .as_mut()
-                            .is_some_and(|rng| rng.gen_ratio(drop_permille, 1000));
-                    let frame = Frame::Replies {
-                        seq,
-                        replies: std::mem::take(&mut replies),
-                    };
-                    if !lost {
-                        write_frame_versioned(&mut writer, &frame, server_version)
-                            .expect("shard client: cannot send replies");
-                    }
-                    let Frame::Replies { seq, replies: sent } = frame else {
-                        unreachable!("frame constructed as Replies above")
-                    };
-                    replies = std::mem::replace(&mut last, (seq, sent)).1;
-                }
-            }
-            Frame::Poll { seq } => {
-                // TCP ordering guarantees the polled batch arrived before
-                // the poll, so the retained reply must be the one asked for.
-                assert_eq!(
-                    last.0, seq,
-                    "shard client {shard}: poll for a reply never produced"
-                );
-                let answer = Frame::Replies {
-                    seq,
-                    replies: last.1.clone(),
-                };
-                write_frame_versioned(&mut writer, &answer, server_version)
-                    .expect("shard client: cannot answer poll");
-            }
-            Frame::Shutdown => {
-                // Orderly goodbye: name the shard so the disconnect path can
-                // tell this farewell from a stale connection's. Best effort —
-                // on a plain engine drop nobody is listening any more.
-                let _ = write_frame_versioned(&mut writer, &Frame::Leave { shard }, server_version);
-                return;
-            }
-            other => panic!("shard client {shard}: unexpected frame {other:?}"),
-        }
-    }
+    nodes: Vec<SimNode>,
+    gens: Vec<u32>,
+    /// Local indices of the last run's active nodes, ascending.
+    run_active: Vec<usize>,
+    /// The last run's first responding round (`None`: no active node).
+    run_first: Option<u32>,
 }
 
-/// Applies one decoded batch operation to a shard's nodes, appending any
-/// upstream messages to `replies` in ascending node-id order.
-fn apply_op(nodes: &mut [SimNode], lo: usize, op: ServerOp, replies: &mut Vec<NodeMessage>) {
-    match op {
-        ServerOp::ObserveRow { start, values } => {
-            let base = start.index() - lo;
-            for (j, v) in values.into_iter().enumerate() {
-                nodes[base + j].observe(v);
+impl ShardClient {
+    fn new(shard: u32, lo: usize, hi: usize, master_seed: u64, gens: Vec<u32>) -> ShardClient {
+        assert_eq!(gens.len(), hi - lo, "one generation per local slot");
+        let nodes = (lo..hi)
+            .map(|i| {
+                let mut node = SimNode::new(NodeId(i), master_seed);
+                let gen = gens[i - lo];
+                if gen > 0 {
+                    node.rejoin_generation(master_seed, gen);
+                }
+                node
+            })
+            .collect();
+        ShardClient {
+            shard,
+            lo,
+            master_seed,
+            nodes,
+            gens,
+            run_active: Vec::new(),
+            run_first: None,
+        }
+    }
+
+    /// Body of the shard-client thread: connect, join, then serve batches
+    /// until shutdown.
+    ///
+    /// The `Join` frame itself is framed at [`LEGACY_WIRE_VERSION`] (so any
+    /// server can read it) and advertises `max_version` as the client's
+    /// maximum; the client then mirrors whatever version the server's frames
+    /// arrive in, completing the negotiation from its side without extra
+    /// round-trips.
+    ///
+    /// With `faults` set to `(seed, drop_permille)`, the client simulates a
+    /// lossy upstream link: each *first* transmission of a reply frame is
+    /// dropped with the given probability (from a per-shard ChaCha8 stream),
+    /// and the retained copy is re-sent — always, so retries converge — when
+    /// the server polls for it.
+    fn run(mut self, addr: SocketAddr, faults: Option<(u64, u32)>, max_version: u8) {
+        let shard = self.shard;
+        let stream = TcpStream::connect(addr).expect("shard client: cannot connect to server");
+        stream
+            .set_nodelay(true)
+            .expect("shard client: cannot set TCP_NODELAY");
+        let mut reader = BufReader::new(stream.try_clone().expect("shard client: clone stream"));
+        let mut writer = BufWriter::new(stream);
+        write_frame_versioned(
+            &mut writer,
+            &Frame::Join { shard, max_version },
+            LEGACY_WIRE_VERSION,
+        )
+        .expect("shard client: join handshake failed");
+        // Every received frame states the server's negotiated version and the
+        // client mirrors it, so the first read settles this before any reply.
+        let mut server_version;
+
+        let mut drop_rng = faults.map(|(seed, _)| {
+            // Golden-ratio mix so shard streams are disjoint even for small seeds.
+            ChaCha8Rng::seed_from_u64(
+                seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(shard) + 1),
+            )
+        });
+        let drop_permille = faults.map_or(0, |(_, p)| p.min(1000));
+        let mut replies: Vec<NodeMessage> = Vec::new();
+        // The last reply frame sent, kept for answering polls (its reply
+        // buffer is recycled once the next reply replaces it).
+        let mut last = Frame::Replies {
+            seq: 0,
+            replies: Vec::new(),
+        };
+        loop {
+            let frame = match read_frame_versioned(&mut reader) {
+                Ok((frame, _, version)) => {
+                    server_version = version;
+                    frame
+                }
+                // The server dropped without an orderly shutdown (e.g. a test
+                // panicked): exit quietly, the Drop impl reaps the thread.
+                Err(WireError::Io(_)) => return,
+                Err(e) => panic!("shard client {shard}: corrupt frame: {e}"),
+            };
+            match frame {
+                Frame::Batch {
+                    wants_reply,
+                    seq,
+                    ops,
+                } => {
+                    replies.clear();
+                    let mut played_run = false;
+                    for op in ops {
+                        played_run |= matches!(op, ServerOp::ExistenceRun { .. });
+                        self.apply(op, &mut replies);
+                    }
+                    if wants_reply {
+                        // The drop coin applies to the first transmission
+                        // only; poll answers always go out, so one poll
+                        // recovers any lost frame.
+                        let lost = drop_permille > 0
+                            && drop_rng
+                                .as_mut()
+                                .is_some_and(|rng| rng.gen_ratio(drop_permille, 1000));
+                        let sent = std::mem::take(&mut replies);
+                        let frame = if played_run {
+                            Frame::RunReplies {
+                                seq,
+                                first_round: self.run_first,
+                                replies: sent,
+                            }
+                        } else {
+                            Frame::Replies { seq, replies: sent }
+                        };
+                        if !lost {
+                            write_frame_versioned(&mut writer, &frame, server_version)
+                                .expect("shard client: cannot send replies");
+                        }
+                        if let Frame::Replies { replies: old, .. }
+                        | Frame::RunReplies { replies: old, .. } =
+                            std::mem::replace(&mut last, frame)
+                        {
+                            replies = old;
+                        }
+                    }
+                }
+                Frame::Poll { seq } => {
+                    // TCP ordering guarantees the polled batch arrived before
+                    // the poll, so the retained reply must be the one asked
+                    // for.
+                    assert_eq!(
+                        reply_seq(&last),
+                        Some(seq),
+                        "shard client {shard}: poll for a reply never produced"
+                    );
+                    write_frame_versioned(&mut writer, &last, server_version)
+                        .expect("shard client: cannot answer poll");
+                }
+                Frame::Shutdown => {
+                    // Orderly goodbye: name the shard so the disconnect path
+                    // can tell this farewell from a stale connection's. Best
+                    // effort — on a plain engine drop nobody is listening any
+                    // more.
+                    let _ =
+                        write_frame_versioned(&mut writer, &Frame::Leave { shard }, server_version);
+                    return;
+                }
+                other => panic!("shard client {shard}: unexpected frame {other:?}"),
             }
         }
-        ServerOp::ObserveSparse { changes } => {
-            for (node, v) in changes {
-                nodes[node.index() - lo].observe(v);
+    }
+
+    /// Applies one decoded batch operation to the shard's nodes, appending
+    /// any upstream messages to `replies` in ascending node-id order.
+    fn apply(&mut self, op: ServerOp, replies: &mut Vec<NodeMessage>) {
+        let lo = self.lo;
+        match op {
+            ServerOp::ObserveRow { start, values } => {
+                let base = start.index() - lo;
+                for (j, v) in values.into_iter().enumerate() {
+                    self.nodes[base + j].observe(v);
+                }
             }
-        }
-        ServerOp::Unicast { node, msg } => {
-            if let Some(reply) = nodes[node.index() - lo].handle(&msg) {
-                replies.push(reply);
+            ServerOp::ObserveSparse { changes } => {
+                for (node, v) in changes {
+                    self.nodes[node.index() - lo].observe(v);
+                }
             }
-        }
-        ServerOp::Broadcast { msg } => {
-            for node in nodes.iter_mut() {
-                if let Some(reply) = node.handle(&msg) {
+            ServerOp::Unicast { node, msg } => {
+                if let Some(reply) = self.nodes[node.index() - lo].handle(&msg) {
                     replies.push(reply);
                 }
             }
+            ServerOp::Broadcast { msg } => {
+                for node in &mut self.nodes {
+                    if let Some(reply) = node.handle(&msg) {
+                        replies.push(reply);
+                    }
+                }
+            }
+            ServerOp::Membership { events } => {
+                for event in events {
+                    let local = event.node().index() - lo;
+                    match event {
+                        MembershipEvent::Join(_) => {
+                            self.gens[local] += 1;
+                            self.nodes[local].rejoin_generation(self.master_seed, self.gens[local]);
+                        }
+                        MembershipEvent::Leave(_) => self.nodes[local].observe(0),
+                    }
+                }
+            }
+            ServerOp::ExistenceRun {
+                round,
+                population,
+                predicate,
+            } => self.play_run(round, population, predicate, replies),
+            ServerOp::SettleRun { round } => {
+                // Every active node flipped one coin per round played, so
+                // each drew the same surplus past the run's real end.
+                if let Some(first) = self.run_first.take() {
+                    let surplus = u64::from(first.saturating_sub(round));
+                    if surplus > 0 {
+                        for &j in &self.run_active {
+                            self.nodes[j].unflip_coins(surplus);
+                        }
+                    }
+                }
+            }
         }
-        // Membership needs the generation table and is handled inline by the
-        // client loop before ops reach this function.
-        ServerOp::Membership { .. } => {
-            unreachable!("membership ops are applied by the client loop")
+    }
+
+    /// Plays an existence run from `round`: evaluates the predicate once
+    /// per node (values and filters cannot change inside a run), then flips
+    /// the active nodes' coins round by round until a round has a responder,
+    /// whose replies land in `replies`. With no active node it returns at
+    /// once — a silent step costs one walk over the predicate, not one per
+    /// round.
+    fn play_run(
+        &mut self,
+        round: u32,
+        population: u32,
+        predicate: ExistencePredicate,
+        replies: &mut Vec<NodeMessage>,
+    ) {
+        let nodes = &self.nodes;
+        self.run_active.clear();
+        self.run_active
+            .extend((0..nodes.len()).filter(|&j| nodes[j].holds(predicate)));
+        self.run_first = None;
+        if self.run_active.is_empty() {
+            return;
         }
+        let before = replies.len();
+        // The coin is certain once 2^r reaches the population, so the loop
+        // ends by round max(round, 32).
+        for r in round.. {
+            for &j in &self.run_active {
+                if let Some(reply) = self.nodes[j].flip_existence_coin(r, population, predicate) {
+                    replies.push(reply);
+                }
+            }
+            if replies.len() > before {
+                self.run_first = Some(r);
+                return;
+            }
+        }
+        unreachable!("an active node responds by round 32");
     }
 }
 
@@ -1607,8 +1894,9 @@ mod tests {
         // client frame after our v2 answer must mirror version 2.
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let client =
-            std::thread::spawn(move || run_shard_client(addr, 0, 0, 2, 99, None, vec![0; 2]));
+        let client = std::thread::spawn(move || {
+            ShardClient::new(0, 0, 2, 99, vec![0; 2]).run(addr, None, WIRE_VERSION)
+        });
         let (stream, _) = listener.accept().expect("accept");
         let mut reader = stream.try_clone().expect("clone");
         let mut writer = BufWriter::new(stream);
@@ -1690,5 +1978,95 @@ mod tests {
             .by_label_kind
             .retain(|(label, _), _| *label != ProtocolLabel::Recovery);
         assert_eq!(lossy_stats, clean.stats());
+    }
+
+    /// A schedule of every operation kind with existence rounds driven by
+    /// hand — rounds past a responder, abandoned runs, calls between rounds —
+    /// returning everything it observed.
+    fn run_shape_script(net: &mut dyn Network) -> (Vec<Vec<NodeMessage>>, CommStats) {
+        let mut out = Vec::new();
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        for step in 0..24u64 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let row: Vec<Value> = (0..8).map(|i| (x >> (i * 5)) % 64).collect();
+            net.advance_time(&row);
+            if step % 3 == 0 {
+                net.assign_filter(NodeId((x % 8) as usize), Filter::at_most(x % 48));
+            }
+            let predicate = match step % 3 {
+                0 => ExistencePredicate::PendingViolation,
+                1 => ExistencePredicate::GreaterThan(x % 32),
+                _ => ExistencePredicate::LessThan(x % 40),
+            };
+            let start = (step % 2) as u32;
+            for round in start..start + 1 + (x % 5) as u32 {
+                out.push(net.existence_round(round, 8, predicate));
+                if step % 4 == 1 && round == start {
+                    out.push(vec![NodeMessage::ValueReport {
+                        node: NodeId(3),
+                        value: net.probe(NodeId(3)),
+                    }]);
+                }
+            }
+            if step % 5 != 0 {
+                net.end_existence_run();
+            }
+        }
+        (out, net.stats())
+    }
+
+    #[test]
+    fn v4_peers_stay_bit_identical_on_the_per_round_path() {
+        let mut base = DeterministicEngine::new(8, 21);
+        let mut legacy = RemoteEngine::build(8, 21, 3, None, None, QUERY_WIRE_VERSION);
+        for conn in legacy.conns.iter().flatten() {
+            assert_eq!(conn.wire_version, QUERY_WIRE_VERSION);
+        }
+        assert_eq!(run_shape_script(&mut base), run_shape_script(&mut legacy));
+        assert_eq!(base.peek_values(), legacy.peek_values());
+        assert_eq!(base.peek_filters(), legacy.peek_filters());
+        // Per-round delivery: every round of a silent run crosses the wire.
+        legacy.advance_time(&[1; 8]);
+        let before = legacy.transport_stats().frames();
+        for round in 0..4 {
+            assert!(legacy
+                .existence_round(round, 8, ExistencePredicate::GreaterThan(5))
+                .is_empty());
+        }
+        assert_eq!(legacy.transport_stats().frames() - before, 4 * 2 * 3);
+    }
+
+    #[test]
+    fn a_whole_run_costs_one_exchange_per_shard() {
+        let mut net = RemoteEngine::with_shards(8, 5, 2);
+        net.advance_time(&[10; 8]);
+        // A silent run: one run op out and one run reply back per shard,
+        // however many rounds the caller asks for.
+        let before = net.transport_stats();
+        for round in 0..4 {
+            assert!(net
+                .existence_round(round, 8, ExistencePredicate::GreaterThan(100))
+                .is_empty());
+        }
+        let after = net.transport_stats();
+        assert_eq!(after.frames_sent - before.frames_sent, 2);
+        assert_eq!(after.frames_received - before.frames_received, 2);
+        assert_eq!(net.stats().rounds, 4, "every round is still charged");
+        // A responding run, announced over: the settle a shard may be owed
+        // rides in front of the announcement, never in a frame of its own.
+        net.advance_time_sparse(&[(NodeId(1), 500), (NodeId(6), 700)]);
+        let before = net.transport_stats();
+        let mut found = Vec::new();
+        for round in 0..4 {
+            found = net.existence_round(round, 8, ExistencePredicate::GreaterThan(100));
+            if !found.is_empty() {
+                net.end_existence_run();
+                break;
+            }
+        }
+        assert!(!found.is_empty());
+        let after = net.transport_stats();
+        assert_eq!(after.frames_sent - before.frames_sent, 2 + 2);
+        assert_eq!(after.frames_received - before.frames_received, 2);
     }
 }

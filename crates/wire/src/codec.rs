@@ -431,7 +431,7 @@ impl WireEncode for ServerMessage {
 }
 
 /// Reads a varint that must fit in a `u32` (round indexes, populations).
-fn read_u32(r: &mut Reader<'_>, what: &'static str) -> Result<u32, WireError> {
+pub(crate) fn read_u32(r: &mut Reader<'_>, what: &'static str) -> Result<u32, WireError> {
     u32::try_from(r.u64()?).map_err(|_| WireError::BadTag { what, tag: 0xff })
 }
 

@@ -33,6 +33,7 @@
 //! | 3 | [`Frame::Shutdown`] | server → node | empty |
 //! | 4 | [`Frame::Poll`] | server → node | seq |
 //! | 5 | [`Frame::Leave`] | node → server | shard index |
+//! | 6 | [`Frame::RunReplies`] | node → server | seq, first responding round + 1 (0 = none), reply count, [`NodeMessage`]s |
 //!
 //! The `seq` number pairs each reply with the `wants_reply` batch that asked
 //! for it, which is what makes retries safe on a lossy transport: if a
@@ -60,16 +61,27 @@
 //! message tag to peers that negotiated version 4, downgrading to a plain
 //! `AssignFilter` otherwise.
 //!
+//! Version 5 ships a whole existence run in one exchange. The
+//! [`ServerOp::ExistenceRun`] op asks a shard to play the Lemma 3.1 schedule
+//! from a starting round until its first responding round, which comes back
+//! in a [`Frame::RunReplies`] together with that round's replies. Because a
+//! shard may play rounds the run never reached, the
+//! [`ServerOp::SettleRun`] op later tells it the round the run really ended
+//! at, and the shard takes back the coins it flipped past that round. The
+//! layout is unchanged from version 4; a server only uses these tags with
+//! peers that negotiated version 5 and drives older peers round by round.
+//!
 //! [`ServerOp`] tags: 0 `ObserveRow`, 1 `ObserveSparse`, 2 `Unicast`,
-//! 3 `Broadcast`, 4 `Membership`.
+//! 3 `Broadcast`, 4 `Membership`, 5 `ExistenceRun`, 6 `SettleRun`.
 //!
 //! [`NodeMessage`]: topk_model::message::NodeMessage
 
-use crate::codec::{from_bytes, Reader, WireDecode, WireEncode};
+use crate::codec::{from_bytes, read_u32, Reader, WireDecode, WireEncode};
 use crate::crc32::crc32;
 use crate::error::WireError;
 use crate::varint;
 use std::io::{Read, Write};
+use topk_model::message::ExistencePredicate;
 use topk_model::prelude::*;
 
 /// First payload byte of every frame; catches desynchronised streams.
@@ -80,8 +92,10 @@ pub const MAGIC: u8 = 0xC5;
 /// numbers and the [`Frame::Poll`] retry frame; version 3 added the CRC32
 /// payload trailer, [`Frame::Leave`] and [`ServerOp::Membership`]; version 4
 /// added the query-scoped filter assignment (`AssignQueryFilter` with its
-/// `QueryId` varint).
-pub const WIRE_VERSION: u8 = 4;
+/// `QueryId` varint); version 5 added whole existence runs
+/// ([`ServerOp::ExistenceRun`], [`ServerOp::SettleRun`],
+/// [`Frame::RunReplies`]).
+pub const WIRE_VERSION: u8 = 5;
 
 /// First version that appends the CRC32 payload trailer. Versions 3 and 4
 /// share the trailered layout; version 2 is trailerless.
@@ -91,6 +105,11 @@ pub const CRC_WIRE_VERSION: u8 = 3;
 /// (`ServerMessage::AssignQueryFilter`). A server downgrades the message to
 /// a plain `AssignFilter` for peers that negotiated anything older.
 pub const QUERY_WIRE_VERSION: u8 = 4;
+
+/// First version that ships whole existence runs ([`ServerOp::ExistenceRun`],
+/// [`ServerOp::SettleRun`], [`Frame::RunReplies`]). A server drives peers
+/// that negotiated anything older one round per exchange.
+pub const RUN_WIRE_VERSION: u8 = 5;
 
 /// Oldest version this build still decodes and can be asked to encode.
 /// Version-2 frames are identical to version-3 frames minus the CRC32
@@ -149,6 +168,28 @@ pub enum ServerOp {
         /// The events, applied in order.
         events: Vec<MembershipEvent>,
     },
+    /// A whole existence run (version 5): every node of the shard whose
+    /// `predicate` holds plays the Lemma 3.1 schedule from `round` on, round
+    /// by round, until the first round in which one of them responds. The
+    /// shard answers with a [`Frame::RunReplies`]. Charged by the server per
+    /// round it hands out, exactly like per-round delivery.
+    ExistenceRun {
+        /// The first round to play.
+        round: u32,
+        /// The population the send probability `min(1, 2^r / population)`
+        /// is stated for.
+        population: u32,
+        /// The predicate selecting the active nodes.
+        predicate: ExistencePredicate,
+    },
+    /// End of the last existence run (version 5): the run ended at `round`,
+    /// so every active node of a shard that played past it takes back the
+    /// coins of the rounds after `round`. Sent in front of the shard's next
+    /// batch, before any later coin. Free in the model.
+    SettleRun {
+        /// The last round the run actually reached.
+        round: u32,
+    },
 }
 
 impl WireEncode for ServerOp {
@@ -185,6 +226,20 @@ impl WireEncode for ServerOp {
                 for event in events {
                     event.encode(buf);
                 }
+            }
+            ServerOp::ExistenceRun {
+                round,
+                population,
+                predicate,
+            } => {
+                buf.push(5);
+                varint::write_u64(buf, u64::from(*round));
+                varint::write_u64(buf, u64::from(*population));
+                predicate.encode(buf);
+            }
+            ServerOp::SettleRun { round } => {
+                buf.push(6);
+                varint::write_u64(buf, u64::from(*round));
             }
         }
     }
@@ -237,6 +292,14 @@ impl WireDecode for ServerOp {
                 }
                 Ok(ServerOp::Membership { events })
             }
+            5 => Ok(ServerOp::ExistenceRun {
+                round: read_u32(r, "ExistenceRun round (exceeds u32)")?,
+                population: read_u32(r, "ExistenceRun population (exceeds u32)")?,
+                predicate: ExistencePredicate::decode(r)?,
+            }),
+            6 => Ok(ServerOp::SettleRun {
+                round: read_u32(r, "SettleRun round (exceeds u32)")?,
+            }),
             tag => Err(WireError::BadTag {
                 what: "ServerOp",
                 tag,
@@ -307,6 +370,18 @@ pub enum Frame {
         /// The shard index that is departing.
         shard: u32,
     },
+    /// The upstream answer to a batch ending in a
+    /// [`ServerOp::ExistenceRun`] (version 5): the shard's first responding
+    /// round and that round's replies, or `None` and no replies when no node
+    /// of the shard holds the predicate.
+    RunReplies {
+        /// The `seq` of the [`Frame::Batch`] this answers.
+        seq: u64,
+        /// The first round in which a node of the shard responded.
+        first_round: Option<u32>,
+        /// The responses of `first_round`, in ascending node-id order.
+        replies: Vec<NodeMessage>,
+    },
 }
 
 impl WireEncode for Frame {
@@ -348,6 +423,19 @@ impl WireEncode for Frame {
             Frame::Leave { shard } => {
                 buf.push(5);
                 varint::write_u64(buf, u64::from(*shard));
+            }
+            Frame::RunReplies {
+                seq,
+                first_round,
+                replies,
+            } => {
+                buf.push(6);
+                varint::write_u64(buf, *seq);
+                varint::write_u64(buf, first_round.map_or(0, |r| u64::from(r) + 1));
+                varint::write_u64(buf, replies.len() as u64);
+                for reply in replies {
+                    reply.encode(buf);
+                }
             }
         }
     }
@@ -419,6 +507,26 @@ impl WireDecode for Frame {
                         what: "Frame::Leave shard (exceeds u32)",
                         tag: 5,
                     })
+            }
+            6 => {
+                let seq = r.u64()?;
+                let first_round = match r.u64()? {
+                    0 => None,
+                    r1 => Some(u32::try_from(r1 - 1).map_err(|_| WireError::BadTag {
+                        what: "Frame::RunReplies round (exceeds u32)",
+                        tag: 6,
+                    })?),
+                };
+                let count = read_count(r, "Frame::RunReplies")?;
+                let mut replies = Vec::with_capacity(count);
+                for _ in 0..count {
+                    replies.push(NodeMessage::decode(r)?);
+                }
+                Ok(Frame::RunReplies {
+                    seq,
+                    first_round,
+                    replies,
+                })
             }
             tag => Err(WireError::BadTag { what: "Frame", tag }),
         }
@@ -572,7 +680,6 @@ pub(crate) fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use topk_model::message::ExistencePredicate;
 
     fn roundtrip_frame(frame: &Frame) {
         // Every negotiable version must carry every frame; versions 3 and 4
@@ -630,6 +737,17 @@ mod tests {
                     MembershipEvent::Join(NodeId((y % 64) as usize)),
                 ],
             },
+            ServerOp::SettleRun {
+                round: (y % 40) as u32,
+            },
+            ServerOp::ExistenceRun {
+                round: (x % 33) as u32,
+                population: (y % 1_000_000) as u32,
+                predicate: ExistencePredicate::RankWindow {
+                    above: Some((x, NodeId(2))),
+                    below: None,
+                },
+            },
         ]
     }
 
@@ -657,6 +775,12 @@ mod tests {
                 },
             ]});
             roundtrip_frame(&Frame::Replies { seq: u64::MAX, replies: Vec::new() });
+            roundtrip_frame(&Frame::RunReplies { seq: y, first_round: None, replies: Vec::new() });
+            roundtrip_frame(&Frame::RunReplies {
+                seq: x,
+                first_round: Some(u32::try_from(y >> 32).unwrap()),
+                replies: vec![NodeMessage::ExistenceResponse { node: NodeId(4), value: x }],
+            });
         }
     }
 

@@ -86,20 +86,96 @@ fn apply(net: &mut dyn Network, op: Op) -> Vec<NodeMessage> {
             node,
             value: net.probe(node),
         }],
+        _ => existence(net, predicate_from(a, x, y)).responses,
+    }
+}
+
+/// An existence predicate of every shape, derived from a schedule entry.
+fn predicate_from(a: usize, x: u64, y: u64) -> ExistencePredicate {
+    match y % 5 {
+        0 => ExistencePredicate::PendingViolation,
+        1 => ExistencePredicate::GreaterThan(x % 997),
+        2 => ExistencePredicate::AtLeast(x % 997),
+        3 => ExistencePredicate::LessThan(x % 997),
+        _ => ExistencePredicate::RankWindow {
+            above: (x % 2 == 0).then_some((x % 997, NodeId(a % N))),
+            below: (y % 3 == 0).then_some((y % 997, NodeId((a + 1) % N))),
+        },
+    }
+}
+
+/// Applies one *run-shape* entry: existence rounds driven by hand in the
+/// shapes `existence` never produces, then two ordinary runs. A remote
+/// engine that ships whole runs must answer every shape exactly like
+/// per-round delivery, and the trailing runs expose any coin a shard failed
+/// to take back.
+fn apply_run_shape(net: &mut dyn Network, op: Op) -> Vec<NodeMessage> {
+    let (kind, a, x, y) = op;
+    let node = NodeId(a % N);
+    let predicate = predicate_from(a, x, y);
+    let pop = N as u32;
+    let r0 = (x % 3) as u32;
+    let mut out = Vec::new();
+    match kind % 5 {
+        0 => {
+            // Rounds continue past the first responding round.
+            for r in r0..r0 + 5 {
+                out.extend(net.existence_round(r, pop, predicate));
+            }
+            net.end_existence_run();
+        }
+        1 => {
+            // A run that starts at a nonzero round and ends like `existence`.
+            for r in r0 + 1..=r0 + 4 {
+                let replies = net.existence_round(r, pop, predicate);
+                let done = !replies.is_empty();
+                out.extend(replies);
+                if done {
+                    net.end_existence_run();
+                    break;
+                }
+            }
+        }
+        2 => {
+            // A run abandoned without `end_existence_run`.
+            for r in 0..=r0 {
+                out.extend(net.existence_round(r, pop, predicate));
+            }
+        }
+        3 => {
+            // Another call between rounds of one run.
+            out.extend(net.existence_round(r0, pop, predicate));
+            let churn = y % 4 == 3;
+            match y % 4 {
+                0 => net.advance_time_sparse(&[(node, x % 997)]),
+                1 => net.assign_filter(node, Filter::at_least(x % 997)),
+                2 => out.push(NodeMessage::ValueReport {
+                    node,
+                    value: net.probe(node),
+                }),
+                _ => net.apply_membership(&[MembershipEvent::Leave(node)]),
+            }
+            out.extend(net.existence_round(r0 + 1, pop, predicate));
+            if churn {
+                net.apply_membership(&[MembershipEvent::Join(node)]);
+            }
+            out.extend(net.existence_round(r0 + 2, pop, predicate));
+        }
         _ => {
-            let predicate = match y % 5 {
-                0 => ExistencePredicate::PendingViolation,
-                1 => ExistencePredicate::GreaterThan(x % 997),
-                2 => ExistencePredicate::AtLeast(x % 997),
-                3 => ExistencePredicate::LessThan(x % 997),
-                _ => ExistencePredicate::RankWindow {
-                    above: (x % 2 == 0).then_some((x % 997, node)),
-                    below: (y % 3 == 0).then_some((y % 997, NodeId((a + 1) % N))),
-                },
+            // The predicate or the population changes mid-run.
+            out.extend(net.existence_round(r0, pop, predicate));
+            let (other, other_pop) = if y % 2 == 0 {
+                (predicate_from(a + 1, y, x), pop)
+            } else {
+                (predicate, 2 * pop)
             };
-            existence(net, predicate).responses
+            out.extend(net.existence_round(r0 + 1, other_pop, other));
+            out.extend(net.existence_round(r0 + 2, pop, predicate));
         }
     }
+    out.extend(existence(net, ExistencePredicate::GreaterThan(y % 50)).responses);
+    out.extend(existence(net, predicate).responses);
+    out
 }
 
 fn group_from(x: u64) -> NodeGroup {
@@ -330,6 +406,89 @@ proptest! {
         prop_assert_eq!(m_base.output(), m_rem.output());
         prop_assert_eq!(base.peek_filters(), remote.peek_filters());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Run shapes over loopback: ordinary operations interleaved with
+    /// existence rounds driven by hand — rounds past a responder, runs
+    /// starting at a nonzero round, abandoned runs, calls between the rounds
+    /// of one run, predicate and population changes mid-run — each followed
+    /// by further runs. Replies, `CommStats` and node state must match the
+    /// baseline at every connection count.
+    #[test]
+    fn remote_engine_matches_baseline_on_run_shapes(
+        ops in proptest::collection::vec(
+            (0u8..13, 0usize..N, 0u64..2000, 0u64..2000),
+            1..16,
+        ),
+        seed in 0u64..10_000,
+    ) {
+        let step = |net: &mut dyn Network, op: Op| {
+            if op.0 < 8 { apply(net, op) } else { apply_run_shape(net, op) }
+        };
+        let mut base = DeterministicEngine::new(N, seed);
+        let mut engines: Vec<RemoteEngine> = [2usize, 3]
+            .into_iter()
+            .map(|shards| RemoteEngine::with_shards(N, seed, shards))
+            .collect();
+        for &op in &ops {
+            let replies_base = step(&mut base, op);
+            for remote in &mut engines {
+                prop_assert_eq!(
+                    &replies_base,
+                    &step(remote, op),
+                    "replies diverge on {:?} at {} connections",
+                    op,
+                    remote.shard_count()
+                );
+            }
+        }
+        for remote in &engines {
+            prop_assert_eq!(base.stats(), remote.stats(), "stats diverge at {} connections", remote.shard_count());
+            prop_assert_eq!(base.peek_filters(), remote.peek_filters());
+            prop_assert_eq!(base.peek_values(), remote.peek_values());
+        }
+    }
+}
+
+/// A lossy loopback transport recovers lost *run* replies by `Poll`: the
+/// schedule below moves no other reply-bearing frame, so every poll answers
+/// a run, and the run must still match the baseline once the recovery
+/// traffic is stripped.
+#[test]
+fn lost_run_replies_are_recovered_by_polls() {
+    let spec = FaultSpec::drop_upstream(0x5EED, 500);
+    let mut base = DeterministicEngine::new(N, 31);
+    let mut lossy =
+        RemoteEngine::with_fault_spec(N, 31, 2, &spec, std::time::Duration::from_millis(20));
+    for step in 0..12u64 {
+        let row: Vec<Value> = (0..N as u64).map(|i| (step * 7 + i * 13) % 50).collect();
+        let predicate = ExistencePredicate::GreaterThan(step % 40);
+        for net in [&mut base as &mut dyn Network, &mut lossy] {
+            net.advance_time(&row);
+        }
+        assert_eq!(
+            existence(&mut base, predicate),
+            existence(&mut lossy, predicate),
+            "run {step} diverges"
+        );
+    }
+    assert!(
+        lossy.polls_sent() > 0,
+        "a 50% drop rate over 24 run replies cannot go unnoticed"
+    );
+    let mut stats = lossy.stats();
+    assert_eq!(
+        stats.messages_of_label(ProtocolLabel::Recovery),
+        lossy.polls_sent()
+    );
+    stats
+        .by_label_kind
+        .retain(|(label, _), _| *label != ProtocolLabel::Recovery);
+    assert_eq!(stats, base.stats());
+    assert_eq!(base.peek_values(), lossy.peek_values());
 }
 
 /// The fault plan the seeded-replay battery sweeps: one spec per family plus
